@@ -5,11 +5,13 @@
 // (internal/engine): -jobs caps the worker pool, -progress streams
 // per-cell completions, and overlapping cells between figures are
 // simulated once and served from the run cache thereafter. Cells that
-// share a workload and fetch stream execute as single-pass multi-model
-// groups (sim.RunMulti); a full run submits the union of every grid as
-// a warmup batch first, so the whole evaluation costs roughly two
-// producer passes per workload. Output is byte-identical for every
-// -jobs value and with grouping disabled.
+// share a workload execute as one single-pass multi-model group
+// (sim.RunMulti), whichever binary they fetch from; a full run submits
+// the union of every grid as a warmup batch first, so the whole
+// evaluation costs three producer executions per workload (the engine
+// pass, the layout ablation's pass and the profile-transfer oracle).
+// Output is byte-identical for every -jobs value and with grouping
+// disabled.
 //
 // Every simulation cell is additionally passed through the runtime
 // invariant checker (internal/check): a run whose statistics violate
@@ -180,10 +182,11 @@ func main() {
 
 	if all {
 		// Full evaluation: submit the union of every grid first. The
-		// engine coalesces all cells sharing a workload and fetch stream
-		// into single-pass multi-model groups — roughly two producer
-		// passes per workload instead of one per cell — and every figure
-		// section below becomes a run-cache hit.
+		// engine coalesces all cells of a workload into one single-pass
+		// multi-model group — one producer execution per workload
+		// instead of one per cell — and every figure section below
+		// becomes a run-cache hit. The count printed is of fetch
+		// streams (distinct GroupIDs), two per workload.
 		run("single-pass warmup", func() (string, error) {
 			specs := suite.WarmupSpecs()
 			res, err := suite.RunBatch(ctx, specs)

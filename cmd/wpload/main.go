@@ -5,8 +5,8 @@
 // backpressure with capped Retry-After backoff and (with -churn)
 // hanging up mid-request to exercise abandoned-connection paths. The
 // run's latency quantiles, 429/retry/error rates and throughput land
-// in a machine-readable BENCH_wpload.json snapshot, optionally
-// checked against p50/p99 SLOs.
+// in a machine-readable snapshot (-snapshot, e.g. BENCH_wpload.json),
+// optionally checked against p50/p99 SLOs.
 //
 // Usage:
 //
@@ -77,7 +77,7 @@ func main() {
 	queue := flag.Int("queue", 64, "loopback server queue depth")
 	jobs := flag.Int("jobs", 0, "loopback engine workers (0 = GOMAXPROCS)")
 	seed := flag.Int64("seed", 1, "client RNG seed")
-	snapshotPath := flag.String("snapshot", "BENCH_wpload.json", "write the run snapshot here (empty = skip)")
+	snapshotPath := flag.String("snapshot", "", "write the run snapshot here, e.g. BENCH_wpload.json (empty = skip)")
 	metricsPath := flag.String("metrics", "", "also dump the client-side load_* registry as JSON here")
 	smoke := flag.Bool("smoke", false, "CI smoke: loopback, 200 clients, 2s, SLOs asserted, exit 1 on violation")
 	crash := flag.Bool("crash", false, "kill/restart durability choreography: SIGKILL a store-backed daemon mid-load, restart, assert nothing observable was lost")

@@ -285,10 +285,12 @@ func runOneshot(srv *serve.Server, eng *engine.Engine, base sim.Config) int {
 	url := "http://" + ln.Addr().String()
 	fmt.Fprintf(os.Stderr, "wpserved: oneshot smoke on %s\n", url)
 
-	// The batch is deliberately coalescible: baseline and waymem share
-	// the original binary, the two way-placement sizes share the relaid
-	// one, so the server must form two single-pass groups and still
-	// answer per-cell results identical to a direct run.
+	// The batch is deliberately coalescible: baseline and waymem fetch
+	// from the original binary, the two way-placement sizes from the
+	// relaid one, and one execution of the workload serves both
+	// streams. The server must form one single-pass group, name both
+	// streams in the cells' group ids, and still answer per-cell
+	// results identical to a direct run.
 	icache := api.GeometryOf(experiment.XScaleICache())
 	reqs := []api.RunRequest{
 		{Workload: "crc", ICache: icache, Scheme: api.SchemeBaseline},
@@ -308,8 +310,8 @@ func runOneshot(srv *serve.Server, eng *engine.Engine, base sim.Config) int {
 		fmt.Fprintf(os.Stderr, "wpserved: oneshot batch ended %q: %+v\n", resp.Status, resp.Errors)
 		return 1
 	}
-	if eng.Groups() != 2 {
-		fmt.Fprintf(os.Stderr, "wpserved: oneshot: server formed %d single-pass groups, want 2\n", eng.Groups())
+	if eng.Groups() != 1 {
+		fmt.Fprintf(os.Stderr, "wpserved: oneshot: server formed %d single-pass groups, want 1\n", eng.Groups())
 		return 1
 	}
 
@@ -331,8 +333,13 @@ func runOneshot(srv *serve.Server, eng *engine.Engine, base sim.Config) int {
 			fmt.Fprintf(os.Stderr, "wpserved: oneshot: cell %d key %q != %q\n", i, got.Key, specs[i].Key())
 			code = 1
 		}
-		if got.GroupID == "" {
-			fmt.Fprintf(os.Stderr, "wpserved: oneshot: cell %d missing group_id\n", i)
+		// The group id names the cell's fetch stream, not the execution.
+		wantGroup := "crc/original"
+		if reqs[i].Scheme == api.SchemeWayPlacement {
+			wantGroup = "crc/placed"
+		}
+		if got.GroupID != wantGroup {
+			fmt.Fprintf(os.Stderr, "wpserved: oneshot: cell %d group_id %q, want %q\n", i, got.GroupID, wantGroup)
 			code = 1
 		}
 		if !reflect.DeepEqual(got.Stats, want[i].Stats) {

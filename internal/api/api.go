@@ -347,10 +347,12 @@ type RunResult struct {
 	Key         string     `json:"key"`
 	CacheHit    bool       `json:"cache_hit"`
 	WallSeconds float64    `json:"wall_seconds,omitempty"`
-	// GroupID names the single-pass group that simulated this cell
-	// server-side ("<workload>/original" or "<workload>/placed");
-	// empty for cache hits and uncoalesced batches. Informational —
-	// grouping never changes statistics.
+	// GroupID names the fetch stream that simulated this cell
+	// server-side ("<workload>/original" or "<workload>/placed", after
+	// the binary it fetched from), not the execution: one single-pass
+	// execution serves both streams of a workload. Empty for cache
+	// hits and uncoalesced batches. Informational — grouping never
+	// changes statistics.
 	GroupID     string        `json:"group_id,omitempty"`
 	Stats       *sim.RunStats `json:"stats"`
 	AreaChanges []AreaChange  `json:"area_changes,omitempty"`

@@ -166,20 +166,26 @@ func (s *Stats) MissRate() float64 {
 }
 
 type link struct {
-	valid bool
-	set   int
-	way   int
 	gen   uint64 // matches the target line's generation when still valid
+	set   int32
+	way   int32
+	valid bool
 }
 
 type line struct {
 	valid   bool
-	tag     uint32
 	dirty   bool
+	tag     uint32
 	lastUse uint64
 	gen     uint64 // bumped on every (re)fill, invalidating inbound links
-	seq     link   // way-memoization: way of the next sequential line
-	slots   []link // way-memoization: per-instruction branch links
+}
+
+// lineLinks are one line's outbound way-memoization links. They live
+// in a side array beside the lines, allocated only by way-memoization
+// caches, so every other cache keeps its lines at 24 bytes.
+type lineLinks struct {
+	seq   link   // way of the next sequential line
+	slots []link // per-instruction branch links, allocated on first write
 }
 
 // Cache is one cache array instance.
@@ -187,11 +193,12 @@ type Cache struct {
 	Cfg   Config
 	Stats Stats
 
-	sets [][]line
-	rr   []int // round-robin victim pointer per set
-	mru  []int // most recently touched/filled way per set (probe shortcut)
-	tick uint64
-	gen  uint64
+	sets  [][]line
+	links []lineLinks // way-memoization only: indexed set*Ways+way
+	rr    []int       // round-robin victim pointer per set
+	mru   []int       // most recently touched/filled way per set (probe shortcut)
+	tick  uint64
+	gen   uint64
 
 	// Address decomposition, precomputed from Cfg at construction: the
 	// Config methods derive shifts and masks from first principles on
@@ -317,12 +324,14 @@ func (c *Cache) victim(set int) int {
 
 // fillAt installs the line for addr into (set, way), returning whether
 // a dirty line was evicted. The line's generation is bumped so that
-// way-memoization links into the old occupant die.
+// way-memoization links into the old occupant die, and the old
+// occupant's own links are cleared.
 func (c *Cache) fillAt(set, way int, tag uint32) (evictedDirty bool) {
 	l := &c.sets[set][way]
 	evictedDirty = l.valid && l.dirty
 	c.gen++
 	*l = line{valid: true, tag: tag, lastUse: c.tick, gen: c.gen}
+	c.clearLinks(set, way)
 	c.Stats.LineFills++
 	c.mru[set] = way
 	return evictedDirty
@@ -338,6 +347,22 @@ func (c *Cache) touch(set, way int) {
 // lineRef returns the line at (set, way).
 func (c *Cache) lineRef(set, way int) *line { return &c.sets[set][way] }
 
+// linksRef returns the way-memoization links of the line at (set, way).
+// Only valid on a cache built with links (NewWayMemoization).
+func (c *Cache) linksRef(set, way int) *lineLinks { return &c.links[set*c.Cfg.Ways+way] }
+
+// clearLinks invalidates every outbound link of the line at (set, way).
+// A cleared slot array is kept for reuse: an all-invalid array and an
+// unallocated one mean the same thing to the fetch engine.
+func (c *Cache) clearLinks(set, way int) {
+	if c.links == nil {
+		return
+	}
+	ll := c.linksRef(set, way)
+	ll.seq = link{}
+	clear(ll.slots)
+}
+
 // Flush invalidates every line. The operating system flushes the
 // instruction cache when it resizes the way-placement area (section
 // 4.1 lets the OS adjust the area during execution; a flush keeps
@@ -350,6 +375,7 @@ func (c *Cache) Flush() {
 			if l.valid {
 				c.gen++
 				*l = line{gen: c.gen}
+				c.clearLinks(set, way)
 			}
 		}
 	}

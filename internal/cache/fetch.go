@@ -35,10 +35,6 @@ type FetchEngine interface {
 // a 2-set/4-way cache cost 12 comparisons).
 type BaselineEngine struct {
 	c *Cache
-
-	// Way holding the most recently fetched line, for FetchSameLine.
-	lastSet int
-	lastWay int
 }
 
 // NewBaseline returns the baseline fetch engine.
@@ -66,36 +62,13 @@ func (e *BaselineEngine) Fetch(addr uint32, indirect bool) FetchResult {
 		c.Stats.Hits++
 		c.touch(set, way)
 		c.Stats.DataReads++
-		e.lastSet, e.lastWay = set, way
 		return FetchResult{Hit: true}
 	}
 	c.Stats.Misses++
-	w := c.victim(set)
-	c.fillAt(set, w, tag)
+	c.fillAt(set, c.victim(set), tag)
 	c.Stats.NonDesignatedFills++
 	c.Stats.DataReads++
-	e.lastSet, e.lastWay = set, w
 	return FetchResult{Filled: true}
-}
-
-// FetchSameLine charges n further fetches of the line the previous
-// Fetch touched, in bulk. The caller guarantees every one of the n
-// addresses lies in that line (sim.RunMulti's stream segmentation):
-// the line is resident — nothing was filled since — so each fetch is a
-// full-search hit, and the bulk update leaves every counter and every
-// replacement-relevant field (recency, generation, victim pointers)
-// exactly as n individual Fetch calls would.
-func (e *BaselineEngine) FetchSameLine(n int) {
-	c := e.c
-	un := uint64(n)
-	c.Stats.Fetches += un
-	c.Stats.TagComparisons += uint64(c.Cfg.Ways) * un
-	c.Stats.FullSearches += un
-	c.Stats.Hits += un
-	c.Stats.DataReads += un
-	c.tick += un
-	c.sets[e.lastSet][e.lastWay].lastUse = c.tick
-	c.mru[e.lastSet] = e.lastWay
 }
 
 // --- way-placement ---
@@ -251,10 +224,15 @@ func (e *WayPlacementEngine) Fetch(addr uint32, indirect bool) FetchResult {
 // buffer, in bulk. The caller guarantees every address lies in the
 // line of the previous fetch, on the same page (lastAddr is one of
 // them, used for the way-placement-area check — the whole run shares
-// its page, so one oracle consultation covers all n), and that the
-// engine's same-line optimisation is enabled. Each fetch would take
-// the SameLineHits path: no tag check, hint unchanged.
+// its page, so one oracle consultation covers all n). With the
+// same-line optimisation on, each fetch takes the SameLineHits path:
+// no tag check, hint unchanged. With it ablated (NoSameLine), each
+// fetch repeats the previous fetch's access instead (repeatAccess).
 func (e *WayPlacementEngine) FetchSameLine(n int, lastAddr uint32) {
+	if e.NoSameLine {
+		e.repeatAccess(n, lastAddr)
+		return
+	}
 	c := e.c
 	un := uint64(n)
 	c.Stats.Fetches += un
@@ -262,6 +240,37 @@ func (e *WayPlacementEngine) FetchSameLine(n int, lastAddr uint32) {
 		c.Stats.WPAreaFetches += un
 	}
 	c.Stats.SameLineHits += un
+	c.Stats.Hits += un
+	c.Stats.DataReads += un
+	c.tick += un
+	c.sets[e.lineSet][e.lineWay].lastUse = c.tick
+	c.mru[e.lineSet] = e.lineWay
+}
+
+// repeatAccess is FetchSameLine with the same-line skip ablated: each
+// of the n fetches repeats the previous fetch's access to its line.
+// The line is resident where that fetch left it, and the run shares
+// its page, so every repeat lies in the way-placement area exactly when
+// the previous fetch did, and the hint (the previous fetch's kind)
+// predicts it. Each repeat therefore hits: a single-tag probe of the
+// designated way inside the area (every way-placed line is filled
+// there), a full search outside it.
+func (e *WayPlacementEngine) repeatAccess(n int, lastAddr uint32) {
+	c := e.c
+	inWP := e.oracle.WayPlaced(lastAddr)
+	un := uint64(n)
+	c.Stats.Fetches += un
+	if inWP {
+		c.Stats.WPAreaFetches += un
+		c.Stats.HintCorrectWP += un
+		c.Stats.WPAccesses += un
+		c.Stats.SingleSearches += un
+		c.Stats.TagComparisons += un
+	} else {
+		c.Stats.HintCorrectNon += un
+		c.Stats.FullSearches += un
+		c.Stats.TagComparisons += uint64(c.Cfg.Ways) * un
+	}
 	c.Stats.Hits += un
 	c.Stats.DataReads += un
 	c.tick += un
@@ -317,12 +326,14 @@ type WayMemoizationEngine struct {
 	prevGen  uint64
 }
 
-// NewWayMemoization returns the way-memoization fetch engine.
+// NewWayMemoization returns the way-memoization fetch engine. Its
+// cache is the only kind that allocates per-line link storage.
 func NewWayMemoization(cfg Config) (*WayMemoizationEngine, error) {
 	c, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
+	c.links = make([]lineLinks, cfg.Sets()*cfg.Ways)
 	return &WayMemoizationEngine{c: c}, nil
 }
 
@@ -336,6 +347,10 @@ func (e *WayMemoizationEngine) prevLine() *line {
 	return e.c.lineRef(e.prevSet, e.prevWay)
 }
 
+func (e *WayMemoizationEngine) prevLinks() *lineLinks {
+	return e.c.linksRef(e.prevSet, e.prevWay)
+}
+
 // slotOf returns the instruction slot index of addr within its line.
 func (e *WayMemoizationEngine) slotOf(addr uint32) int {
 	return e.c.slotOf(addr)
@@ -345,12 +360,12 @@ func (e *WayMemoizationEngine) slotOf(addr uint32) int {
 // current one: the sequential link when execution ran off the end of
 // the previous line, or the previous slot's branch link otherwise.
 func (e *WayMemoizationEngine) linkFor(addr uint32) *link {
-	prev := e.prevLine()
-	if prev.gen != e.prevGen {
+	if e.prevLine().gen != e.prevGen {
 		// The previous line was replaced between fetches; its links
 		// are gone with it.
 		return nil
 	}
+	prev := e.prevLinks()
 	if addr == e.prevAddr+4 {
 		return &prev.seq
 	}
@@ -386,14 +401,15 @@ func (e *WayMemoizationEngine) Fetch(addr uint32, indirect bool) FetchResult {
 	// hardware always takes the verified full-search path for them.
 	if e.havePrev && !indirect {
 		if lk := e.linkFor(addr); lk != nil && lk.valid {
-			if lk.gen == c.lineRef(lk.set, lk.way).gen && lk.set == set &&
-				c.lineRef(lk.set, lk.way).tag == tag {
+			lset, lway := int(lk.set), int(lk.way)
+			if lk.gen == c.lineRef(lset, lway).gen && lset == set &&
+				c.lineRef(lset, lway).tag == tag {
 				// Valid link: zero tag comparisons.
 				c.Stats.LinkedAccesses++
 				c.Stats.Hits++
 				c.Stats.DataReads++
-				c.touch(lk.set, lk.way)
-				e.note(addr, lk.set, lk.way)
+				c.touch(lset, lway)
+				e.note(addr, lset, lway)
 				return FetchResult{Hit: true}
 			}
 			// Link points at a replaced or mismatching line: it has
@@ -422,9 +438,9 @@ func (e *WayMemoizationEngine) Fetch(addr uint32, indirect bool) FetchResult {
 	// Write the link into the previous line (if it survived). Links
 	// are only written for static transfers, matching the follow rule.
 	if e.havePrev && !indirect {
-		prev := e.prevLine()
-		if prev.gen == e.prevGen {
-			target := link{valid: true, set: set, way: way, gen: c.lineRef(set, way).gen}
+		if e.prevLine().gen == e.prevGen {
+			prev := e.prevLinks()
+			target := link{valid: true, set: int32(set), way: int32(way), gen: c.lineRef(set, way).gen}
 			if addr == e.prevAddr+4 {
 				prev.seq = target
 			} else {

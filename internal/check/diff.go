@@ -41,25 +41,28 @@ type Variant struct {
 // Differential runs original and placed images of one program under
 // all five scheme variants — baseline, way-memoization, way-placement,
 // way-placement with the oracle hint, and way-placement under the
-// OS-adaptive area policy — and checks per-variant invariants,
-// cross-variant architectural equivalence, and coupled-vs-single-pass
-// implementation agreement. The returned variants are always complete
-// when err reports only check violations; a shorter slice means a
-// variant failed to execute at all.
+// OS-adaptive area policy — plus way-placement on each further relink
+// of the same unit, and checks per-variant invariants, cross-variant
+// architectural equivalence, and coupled-vs-single-pass implementation
+// agreement. The returned variants are always complete when err
+// reports only check violations; a shorter slice means a variant
+// failed to execute at all.
 //
-// The single-pass leg runs coalesced: variants sharing a binary are
-// evaluated by one sim.RunMulti pass, exactly as the engine's
-// grouping planner batches grid cells. DifferentialMode exposes the
-// per-cell alternative.
-func Differential(ctx context.Context, original, placed *obj.Program, base sim.Config, wpSize uint32) ([]Variant, error) {
-	return DifferentialMode(ctx, original, placed, base, wpSize, true)
+// The single-pass leg runs coalesced: every variant rides one
+// sim.RunMulti pass that executes the original binary once and remaps
+// its fetch stream into the others, exactly as the engine's grouping
+// planner batches a workload's grid cells. DifferentialMode exposes
+// the per-cell alternative.
+func Differential(ctx context.Context, original, placed *obj.Program, base sim.Config, wpSize uint32, relinks ...*obj.Program) ([]Variant, error) {
+	return DifferentialMode(ctx, original, placed, base, wpSize, true, relinks...)
 }
 
 // DifferentialMode is Differential with the single-pass execution
-// shape under caller control: coalesced (one multi-model pass per
-// binary) or per-cell (one single-model pass per variant). Both shapes
-// must agree with the coupled reference; the fuzzer alternates them.
-func DifferentialMode(ctx context.Context, original, placed *obj.Program, base sim.Config, wpSize uint32, coalesce bool) ([]Variant, error) {
+// shape under caller control: coalesced (one multi-model pass over
+// every binary) or per-cell (one single-model pass per variant, on its
+// own binary). Both shapes must agree with the coupled reference; the
+// fuzzer alternates them.
+func DifferentialMode(ctx context.Context, original, placed *obj.Program, base sim.Config, wpSize uint32, coalesce bool, relinks ...*obj.Program) ([]Variant, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -89,28 +92,24 @@ func DifferentialMode(ctx context.Context, original, placed *obj.Program, base s
 		{name: "wayplace-adaptive", prog: placed, cfg: acfg,
 			model: sim.ModelSpec{Geometry: base.ICache, Adaptive: &pol}, adaptive: true},
 	}
+	for i, prog := range relinks {
+		specs = append(specs, mk(fmt.Sprintf("wayplace-relink%d", i), prog, energy.WayPlacement, wpSize, false))
+	}
 
-	// Single-pass leg. Coalesced mode batches the variants sharing a
-	// binary into one RunMulti pass each.
+	// Single-pass leg. Coalesced mode runs every variant in one
+	// RunMulti pass, each model on its own binary.
 	single := make([]*sim.ModelResult, len(specs))
 	if coalesce {
-		for _, prog := range []*obj.Program{original, placed} {
-			var idx []int
-			var models []sim.ModelSpec
-			for i, s := range specs {
-				if s.prog == prog {
-					idx = append(idx, i)
-					models = append(models, s.model)
-				}
-			}
-			res, err := sim.RunMulti(ctx, prog, base, models)
-			if err != nil {
-				return nil, fmt.Errorf("check: differential single-pass: %w", err)
-			}
-			for j, i := range idx {
-				single[i] = res[j]
-			}
+		models := make([]sim.ModelSpec, len(specs))
+		for i, s := range specs {
+			models[i] = s.model
+			models[i].Prog = s.prog
 		}
+		res, err := sim.RunMulti(ctx, original, base, models)
+		if err != nil {
+			return nil, fmt.Errorf("check: differential single-pass: %w", err)
+		}
+		copy(single, res)
 	} else {
 		for i, s := range specs {
 			res, err := sim.RunMulti(ctx, s.prog, base, []sim.ModelSpec{s.model})

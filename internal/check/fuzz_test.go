@@ -11,8 +11,10 @@ import (
 
 // FuzzDifferential drives randomly generated programs through the
 // full differential harness: whatever control flow and memory traffic
-// progen emits, all five scheme variants must agree architecturally
-// and every stat invariant must hold. The seed parity picks the
+// progen emits, all five scheme variants — plus way-placement on a
+// seeded random relink, which the coalesced shape serves from the
+// original binary's execution — must agree architecturally and every
+// stat invariant must hold. The seed parity picks the
 // single-pass execution shape — coalesced multi-model passes or
 // per-cell single-model passes — so both shapes of sim.RunMulti are
 // fuzzed against the coupled reference. The seed corpus runs on every
@@ -40,7 +42,11 @@ func FuzzDifferential(f *testing.F) {
 		if err != nil {
 			t.Fatalf("link placed: %v", err)
 		}
-		if _, err := DifferentialMode(context.Background(), original, placed, cfg, 2<<10, seed%2 == 0); err != nil {
+		permuted, err := layout.LinkPermuted(u, seed, textBase)
+		if err != nil {
+			t.Fatalf("link permuted: %v", err)
+		}
+		if _, err := DifferentialMode(context.Background(), original, placed, cfg, 2<<10, seed%2 == 0, permuted); err != nil {
 			t.Fatalf("differential (seed %d): %v", seed, err)
 		}
 	})

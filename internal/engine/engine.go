@@ -57,9 +57,14 @@ const (
 	MetricCoalescedCells = "engine_coalesced_cells_total"
 	// MetricInflight: cells currently inside a simulator.
 	MetricInflight = "engine_inflight_cells"
-	// MetricInstructions: instructions simulated (fresh cells only),
-	// so instructions/second measures simulator throughput.
+	// MetricInstructions: instructions the cache models consumed — each
+	// fresh cell's stream length — so one pass serving many cells counts
+	// its stream once per cell.
 	MetricInstructions = "sim_instructions_total"
+	// MetricProducerInstructions: instructions the fetch producer
+	// executed, booked once per execution however many cells and
+	// binaries it served.
+	MetricProducerInstructions = "sim_producer_instructions_total"
 	// MetricEnergyPrefix + scheme.String(): summed whole-processor
 	// energy (model units) per scheme, fresh cells only.
 	MetricEnergyPrefix = "sim_energy_total_"
@@ -79,6 +84,7 @@ type instruments struct {
 	groups    *obs.Counter
 	coalesced *obs.Counter
 	instrs    *obs.Counter
+	producer  *obs.Counter
 	inflight  *obs.Gauge
 	energy    [3]*obs.Gauge // indexed by energy.Scheme
 }
@@ -97,6 +103,7 @@ func newInstruments(r *obs.Registry) instruments {
 		groups:    r.Counter(MetricGroups),
 		coalesced: r.Counter(MetricCoalescedCells),
 		instrs:    r.Counter(MetricInstructions),
+		producer:  r.Counter(MetricProducerInstructions),
 		inflight:  r.Gauge(MetricInflight),
 	}
 	for s := range ins.energy {
@@ -116,9 +123,10 @@ func (ins *instruments) record(spec RunSpec, stats *sim.RunStats, wall time.Dura
 
 // Workload is one prepared benchmark in the form the engine needs to
 // run cells: the original-layout binary (baseline and way-memoization
-// schemes) and the way-placement relaid binary. Both programs are
-// immutable once linked and are shared, not copied, across concurrent
-// cells.
+// schemes) and the way-placement relaid binary. Placed must be a relink
+// of Original's unit (sim.ModelSpec.Prog): one execution serves both.
+// Both programs are immutable once linked and are shared, not copied,
+// across concurrent cells.
 type Workload struct {
 	Name     string
 	Original *obj.Program
@@ -204,12 +212,13 @@ type Result struct {
 	// (or deduplicated against an identical in-flight cell) rather
 	// than simulated anew.
 	CacheHit bool
-	// GroupID names the single-pass group that simulated this cell:
-	// cells sharing a workload and binary within one batch execute as
-	// one multi-model pass (sim.RunMulti), and every fresh cell of
-	// that pass carries the same deterministic id
-	// ("<workload>/original" or "<workload>/placed"). Empty for
-	// cache hits and for batches run with WithCoalesce(false).
+	// GroupID names the fetch stream that simulated this cell:
+	// "<workload>/original" or "<workload>/placed", after the binary
+	// it fetched from. Every fresh cell of a workload within one batch
+	// rides one multi-model pass (sim.RunMulti) that executes the
+	// program once for both binaries, so the id names a stream, not an
+	// execution. Empty for cache hits and for batches run with
+	// WithCoalesce(false).
 	GroupID string
 }
 
@@ -274,9 +283,9 @@ func WithVerify(fn func(sim.Config, *sim.RunStats) error) Option {
 }
 
 // WithCoalesce enables or disables single-pass grouping (the default
-// is on). When enabled, cells of one batch that share a workload and
-// binary — and therefore an identical fetch stream — are simulated by
-// one sim.RunMulti pass driving all their cache models at once; each
+// is on). When enabled, the cells of one batch that share a workload —
+// whichever of its two binaries they fetch from — are simulated by one
+// sim.RunMulti pass driving all their cache models at once; each
 // cell keeps its own memoization key, verify call, progress report
 // and result slot, so output is byte-identical either way (the
 // differential harness in internal/check and wpbench -selfcheck both
@@ -385,9 +394,9 @@ func (e *Engine) Hits() uint64 { return e.hits.Load() }
 func (e *Engine) Misses() uint64 { return e.misses.Load() }
 
 // Groups returns how many multi-cell single-pass groups the engine
-// has executed: batches of cells sharing one fetch stream that were
-// simulated by a single sim.RunMulti call. Single-cell passes do not
-// count.
+// has executed: batches of cells sharing one workload's execution that
+// were simulated by a single sim.RunMulti call. Single-cell passes do
+// not count.
 func (e *Engine) Groups() uint64 { return e.groups.Load() }
 
 // CoalescedCells returns how many fresh cells were simulated inside
@@ -421,34 +430,35 @@ func resolve(base sim.Config, spec RunSpec) sim.Config {
 
 // usesPlaced reports which binary the cell fetches from: the relaid
 // image for way-placement (static or adaptive), the original layout
-// otherwise. Cells agreeing here (and on the workload) share a fetch
-// stream and may coalesce.
+// otherwise. It names the cell's fetch stream (Result.GroupID).
 func usesPlaced(spec RunSpec) bool {
 	return spec.Scheme == energy.WayPlacement || spec.Adaptive.Enabled()
 }
 
 // modelOf translates one cell into the instruction-side cache model
-// it contributes to a single-pass group. cfg must be the cell's
-// resolved configuration.
-func modelOf(spec RunSpec, cfg sim.Config) sim.ModelSpec {
+// it contributes to a single-pass group, fetching from prog. cfg must
+// be the cell's resolved configuration.
+func modelOf(spec RunSpec, cfg sim.Config, prog *obj.Program) sim.ModelSpec {
 	if spec.Adaptive.Enabled() {
 		pol := spec.Adaptive.Policy()
-		return sim.ModelSpec{Geometry: cfg.ICache, Adaptive: &pol}
+		return sim.ModelSpec{Prog: prog, Geometry: cfg.ICache, Adaptive: &pol}
 	}
-	return sim.ModelSpecOf(cfg)
+	m := sim.ModelSpecOf(cfg)
+	m.Prog = prog
+	return m
 }
 
 // Run executes a batch of cells and returns their results in input
 // order. Identical specs within the batch are simulated once; specs
 // seen in earlier batches are served from the run cache. Unless
-// WithCoalesce(false) is in force, fresh cells sharing a workload and
-// binary are planned into single-pass groups, each simulated by one
-// sim.RunMulti call driving every member's cache model off one fetch
-// stream. Per-cell failures do not abort the grid: every runnable
-// cell still runs, the failures come back as a *MultiError, and the
-// corresponding result slots are nil. Cancelling ctx stops the batch
-// promptly, abandoning unstarted cells and interrupting in-flight
-// instruction loops.
+// WithCoalesce(false) is in force, fresh cells sharing a workload are
+// planned into single-pass groups, each simulated by one sim.RunMulti
+// call that executes the program once and drives every member's cache
+// model off the fetch stream of its binary. Per-cell failures do not
+// abort the grid: every runnable cell still runs, the failures come
+// back as a *MultiError, and the corresponding result slots are nil.
+// Cancelling ctx stops the batch promptly, abandoning unstarted cells
+// and interrupting in-flight instruction loops.
 func (e *Engine) Run(ctx context.Context, specs []RunSpec, opts ...Option) ([]*Result, error) {
 	opt := e.defaults
 	for _, o := range opts {
@@ -575,7 +585,6 @@ func (e *Engine) Run(ctx context.Context, specs []RunSpec, opts ...Option) ([]*R
 	}
 	type group struct {
 		workload string
-		placed   bool
 		members  []member
 	}
 
@@ -633,17 +642,19 @@ func (e *Engine) Run(ctx context.Context, specs []RunSpec, opts ...Option) ([]*R
 			fail(err)
 			return
 		}
-		prog := w.Original
-		if g.placed {
-			prog = w.Placed
-		}
 		models := make([]sim.ModelSpec, len(g.members))
 		for i, m := range g.members {
-			models[i] = modelOf(unique[m.idx], m.key.cfg)
+			prog := w.Original
+			if usesPlaced(unique[m.idx]) {
+				prog = w.Placed
+			}
+			models[i] = modelOf(unique[m.idx], m.key.cfg, prog)
 		}
 		ins.inflight.Add(float64(len(g.members)))
 		start := time.Now()
-		res, err := sim.RunMulti(ctx, prog, opt.base, models)
+		// The first member's binary executes; the other binary's models
+		// see its stream remapped.
+		res, err := sim.RunMulti(ctx, models[0].Prog, opt.base, models)
 		wall := time.Since(start)
 		ins.inflight.Add(-float64(len(g.members)))
 		if err != nil {
@@ -652,6 +663,12 @@ func (e *Engine) Run(ctx context.Context, specs []RunSpec, opts ...Option) ([]*R
 			// their own cell.
 			fail(err)
 			return
+		}
+		for _, r := range res {
+			if r.Err == nil {
+				ins.producer.Add(r.Stats.Instrs)
+				break
+			}
 		}
 		if len(g.members) > 1 {
 			e.groups.Add(1)
@@ -686,14 +703,14 @@ func (e *Engine) Run(ctx context.Context, specs []RunSpec, opts ...Option) ([]*R
 	// Plan the batch. Under the engine lock each unique cell either
 	// joins an existing run entry (a waiter: some earlier batch — or
 	// this planning pass — owns the simulation) or registers a fresh
-	// entry and is assigned to the single-pass group for its
-	// (workload, binary) pair. Group membership follows unique order,
-	// so the model list — and therefore the output — is deterministic
-	// regardless of worker count.
+	// entry and is assigned to the single-pass group for its workload.
+	// Group membership follows unique order, so the model list — and
+	// therefore the output — is deterministic regardless of worker
+	// count.
 	var tasks []func()
 	if !opt.noCoalesce {
 		var order []*group
-		byStream := make(map[groupKey]*group)
+		byWorkload := make(map[string]*group)
 		e.mu.Lock()
 		for idx, spec := range unique {
 			key := runKey{workload: spec.Workload, cfg: resolve(opt.base, spec), adaptive: spec.Adaptive}
@@ -704,24 +721,20 @@ func (e *Engine) Run(ctx context.Context, specs []RunSpec, opts ...Option) ([]*R
 			}
 			ent := &runEntry{done: make(chan struct{})}
 			e.runs[key] = ent
-			gk := groupKey{workload: spec.Workload, placed: usesPlaced(spec)}
-			g := byStream[gk]
+			g := byWorkload[spec.Workload]
 			if g == nil {
-				g = &group{workload: gk.workload, placed: gk.placed}
-				byStream[gk] = g
+				g = &group{workload: spec.Workload}
+				byWorkload[spec.Workload] = g
 				order = append(order, g)
 			}
 			g.members = append(g.members, member{idx: idx, key: key, ent: ent})
+			groupIDs[idx] = spec.Workload + "/original"
+			if usesPlaced(spec) {
+				groupIDs[idx] = spec.Workload + "/placed"
+			}
 		}
 		e.mu.Unlock()
 		for _, g := range order {
-			gid := g.workload + "/original"
-			if g.placed {
-				gid = g.workload + "/placed"
-			}
-			for _, m := range g.members {
-				groupIDs[m.idx] = gid
-			}
 			g := g
 			tasks = append(tasks, func() { runGroup(g) })
 		}
@@ -781,13 +794,6 @@ func (e *Engine) Run(ctx context.Context, specs []RunSpec, opts ...Option) ([]*R
 		return results, &merr
 	}
 	return results, nil
-}
-
-// groupKey identifies one fetch stream within a batch: cells with the
-// same workload and binary replay identical (addr, indirect) events.
-type groupKey struct {
-	workload string
-	placed   bool
 }
 
 // RunOne executes a single cell.
@@ -891,6 +897,9 @@ func (e *Engine) cell(ctx context.Context, spec RunSpec, base sim.Config, ins in
 	ins.inflight.Add(1)
 	ent.stats, ent.changes, ent.err = e.exec(ctx, spec, key.cfg)
 	ins.inflight.Add(-1)
+	if ent.err == nil {
+		ins.producer.Add(ent.stats.Instrs)
+	}
 	if ent.err == nil && tier != nil {
 		tier.Save(spec.Key(), ent.stats, ent.changes)
 	}

@@ -550,6 +550,37 @@ func TestObserverInstrumentation(t *testing.T) {
 	}
 }
 
+// TestProducerInstructionsBookedOncePerExecution: a batch whose cells
+// fetch from both binaries of one workload executes the program once,
+// so the producer counter books one stream length while the model
+// counter books it once per cell.
+func TestProducerInstructionsBookedOncePerExecution(t *testing.T) {
+	reg := obs.NewRegistry()
+	e := engine.New(testProvider(t), engine.WithObserver(reg))
+	icfg := cache.Config{SizeBytes: 8 << 10, Ways: 8, LineBytes: 32}
+	specs := []engine.RunSpec{
+		{Workload: "tiny1", ICache: icfg, Scheme: energy.Baseline},
+		{Workload: "tiny1", ICache: icfg, Scheme: energy.WayPlacement, WPSize: 2 << 10},
+	}
+	res, err := e.Run(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].GroupID != "tiny1/original" || res[1].GroupID != "tiny1/placed" {
+		t.Fatalf("group ids %q, %q; want tiny1/original, tiny1/placed", res[0].GroupID, res[1].GroupID)
+	}
+	stream := res[0].Stats.Instrs
+	if n := reg.Counter(engine.MetricProducerInstructions).Value(); n != stream {
+		t.Errorf("%s = %d, want one stream length %d", engine.MetricProducerInstructions, n, stream)
+	}
+	if n := reg.Counter(engine.MetricInstructions).Value(); n != 2*stream {
+		t.Errorf("%s = %d, want %d", engine.MetricInstructions, n, 2*stream)
+	}
+	if e.Groups() != 1 {
+		t.Errorf("Groups() = %d, want 1", e.Groups())
+	}
+}
+
 // TestObserverPrepareSpan: workload preparation must record one span
 // per workload, failures excluded.
 func TestObserverPrepareSpan(t *testing.T) {
@@ -657,9 +688,17 @@ func TestCoalescedMatchesPerCell(t *testing.T) {
 	}
 	// grid() is 2 workloads x (2 geometries x {baseline, waymem}) on
 	// the original binary + (2 geometries x wayplace) on the placed
-	// binary: 4 fetch streams, 12 cells, all coalesced.
-	if co.Groups() != 4 {
-		t.Errorf("Groups() = %d, want 4", co.Groups())
+	// binary: 4 fetch streams, 12 cells, all coalesced — and one
+	// execution per workload serves both of its streams.
+	if co.Groups() != 2 {
+		t.Errorf("Groups() = %d, want 2", co.Groups())
+	}
+	streams := map[string]bool{}
+	for _, r := range coRes {
+		streams[r.GroupID] = true
+	}
+	if len(streams) != 4 {
+		t.Errorf("coalesced results name %d fetch streams, want 4: %v", len(streams), streams)
 	}
 	if co.CoalescedCells() != uint64(len(specs)) {
 		t.Errorf("CoalescedCells() = %d, want %d", co.CoalescedCells(), len(specs))

@@ -24,11 +24,12 @@ import (
 // The hint, same-line and replacement ablations are ordinary engine
 // cells (the switches ride on engine.RunSpec.OracleHint/NoSameLine and
 // cache.Config.Policy), so they are memoised, coalesced into shared
-// fetch passes, and runnable against a remote engine. Only the layout
-// ablation's custom binaries (original, random, Pettis-Hansen) fall
-// outside the engine's cell grid and execute through sim.RunContext
-// directly; its profile-guided leg and every baseline still come from
-// the engine's memoised run cache.
+// fetch passes, and runnable against a remote engine. The layout
+// ablation's profile-guided leg and every baseline are engine cells
+// too. Only its other binaries (original, random, Pettis-Hansen) fall
+// outside the engine's cell grid: all three are relinks of the same
+// unit, so they run as one sim.RunMulti pass per workload, a single
+// execution whose fetch stream is remapped into each binary.
 
 // AblationRow is one variant's result.
 type AblationRow struct {
@@ -36,49 +37,15 @@ type AblationRow struct {
 	Pair
 }
 
-// cellSpec reports whether (cfg, prog) is expressible as a standard
-// engine cell for w — the scheme's standard binary under the suite's
-// base machine, differing only in cell-level fields — and returns
-// that cell. Routing such variants through the engine instead of a
-// direct sim run makes them memoised, coalesced and remote-runnable.
-func (s *Suite) cellSpec(w *Workload, cfg sim.Config, prog *obj.Program) (engine.RunSpec, bool) {
-	if prog != w.Placed || cfg.Scheme != energy.WayPlacement {
-		return engine.RunSpec{}, false
-	}
-	want := s.Base
-	want.MaxInstrs = MaxInstrs
-	norm := cfg
-	norm.ICache, norm.Scheme, norm.Style = want.ICache, want.Scheme, want.Style
-	norm.WPSize, norm.OracleHint, norm.NoSameLine = want.WPSize, want.OracleHint, want.NoSameLine
-	if norm != want {
-		return engine.RunSpec{}, false
-	}
-	return engine.RunSpec{
-		Workload: w.Name, ICache: cfg.ICache, Scheme: cfg.Scheme, Style: cfg.Style,
-		WPSize: cfg.WPSize, OracleHint: cfg.OracleHint, NoSameLine: cfg.NoSameLine,
-	}, true
-}
-
-// runVariant executes one workload under a full custom config and
-// binary, normalising against the memoised baseline. Variants that
-// reduce to a standard cell (the placed binary on the base machine)
-// run through the engine's memoised grid.
-func (s *Suite) runVariant(ctx context.Context, w *Workload, cfg sim.Config, prog *obj.Program) (Pair, error) {
-	baseRes, err := s.RunSpec(ctx, spec(w, cfg.ICache, energy.Baseline, 0))
+// vsBaseline normalises a 32KB/32-way run of w against w's memoised
+// baseline cell, rejecting a variant that changed what the program
+// computes.
+func (s *Suite) vsBaseline(ctx context.Context, w *Workload, rs *sim.RunStats) (Pair, error) {
+	baseRes, err := s.RunSpec(ctx, spec(w, XScaleICache(), energy.Baseline, 0))
 	if err != nil {
 		return Pair{}, err
 	}
 	base := baseRes.Stats
-	var rs *sim.RunStats
-	if cell, ok := s.cellSpec(w, cfg, prog); ok {
-		res, err := s.RunSpec(ctx, cell)
-		if err != nil {
-			return Pair{}, err
-		}
-		rs = res.Stats
-	} else if rs, err = sim.RunContext(ctx, prog, cfg); err != nil {
-		return Pair{}, err
-	}
 	if rs.Checksum != base.Checksum {
 		return Pair{}, fmt.Errorf("%s: variant changed the checksum: %#x vs %#x",
 			w.Name, rs.Checksum, base.Checksum)
@@ -86,37 +53,14 @@ func (s *Suite) runVariant(ctx context.Context, w *Workload, cfg sim.Config, pro
 	return pairOf(rs, base), nil
 }
 
-// averageVariant runs one variant across the suite (in parallel) and
-// averages in workload order, so the result is deterministic.
-func (s *Suite) averageVariant(ctx context.Context, name string, variant func(*Workload) (sim.Config, *obj.Program, error)) (AblationRow, error) {
-	row := AblationRow{Variant: name}
-	pairs := make([]Pair, len(s.Workloads))
-	idx := make(map[string]int, len(s.Workloads))
-	for i, w := range s.Workloads {
-		idx[w.Name] = i
-	}
-	err := s.forEach(ctx, func(ctx context.Context, w *Workload) error {
-		cfg, prog, err := variant(w)
-		if err != nil {
-			return err
-		}
-		p, err := s.runVariant(ctx, w, cfg, prog)
-		if err != nil {
-			return err
-		}
-		pairs[idx[w.Name]] = p
-		return nil
-	})
+// placedTightPair runs w's profile-guided binary under the scarce area
+// as an ordinary engine cell and normalises it against the baseline.
+func (s *Suite) placedTightPair(ctx context.Context, w *Workload) (Pair, error) {
+	res, err := s.RunSpec(ctx, spec(w, XScaleICache(), energy.WayPlacement, tightWPSize))
 	if err != nil {
-		return row, err
+		return Pair{}, err
 	}
-	for _, p := range pairs {
-		addPair(&row.Pair, p)
-	}
-	n := float64(len(s.Workloads))
-	row.Energy /= n
-	row.ED /= n
-	return row, nil
+	return s.vsBaseline(ctx, w, res.Stats)
 }
 
 func (s *Suite) wpConfig(wpSize uint32) sim.Config {
@@ -223,33 +167,62 @@ func (s *Suite) flagAblationRows(ctx context.Context, variants []flagVariant) ([
 // respecting) permutation, and a classical Pettis/Hansen-style
 // affinity layout (which optimises adjacency, not front-loading).
 func (s *Suite) AblationLayout(ctx context.Context) ([]AblationRow, error) {
-	variants := []struct {
-		name string
-		prog func(*Workload) (*obj.Program, error)
-	}{
-		{"profile-guided layout", func(w *Workload) (*obj.Program, error) { return w.Placed, nil }},
-		{"original layout", func(w *Workload) (*obj.Program, error) { return w.Original, nil }},
-		{"random layout", func(w *Workload) (*obj.Program, error) {
-			return layout.LinkPermuted(w.Unit, 0xabcdef, TextBase)
-		}},
-		{"Pettis-Hansen affinity", func(w *Workload) (*obj.Program, error) {
-			return layout.LinkPettisHansen(w.Unit, w.Profile, TextBase)
-		}},
+	rows := []AblationRow{
+		{Variant: "profile-guided layout"},
+		{Variant: "original layout"},
+		{Variant: "random layout"},
+		{Variant: "Pettis-Hansen affinity"},
 	}
-	var rows []AblationRow
-	for _, v := range variants {
-		v := v
-		row, err := s.averageVariant(ctx, v.name, func(w *Workload) (sim.Config, *obj.Program, error) {
-			prog, err := v.prog(w)
-			if err != nil {
-				return sim.Config{}, nil, err
-			}
-			return s.wpConfig(tightWPSize), prog, nil
-		})
+	pairs := make([][]Pair, len(s.Workloads)) // workload x row
+	idx := make(map[string]int, len(s.Workloads))
+	for i, w := range s.Workloads {
+		idx[w.Name] = i
+	}
+	err := s.forEach(ctx, func(ctx context.Context, w *Workload) error {
+		random, err := layout.LinkPermuted(w.Unit, 0xabcdef, TextBase)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rows = append(rows, row)
+		ph, err := layout.LinkPettisHansen(w.Unit, w.Profile, TextBase)
+		if err != nil {
+			return err
+		}
+		cfg := s.wpConfig(tightWPSize)
+		progs := []*obj.Program{w.Original, random, ph}
+		models := make([]sim.ModelSpec, len(progs))
+		for i, prog := range progs {
+			models[i] = sim.ModelSpecOf(cfg)
+			models[i].Prog = prog
+		}
+		res, err := sim.RunMulti(ctx, w.Original, cfg, models)
+		if err != nil {
+			return err
+		}
+		p := make([]Pair, len(rows))
+		if p[0], err = s.placedTightPair(ctx, w); err != nil {
+			return err
+		}
+		for i, r := range res {
+			if r.Err != nil {
+				return fmt.Errorf("%s: %s: %w", w.Name, rows[i+1].Variant, r.Err)
+			}
+			if p[i+1], err = s.vsBaseline(ctx, w, r.Stats); err != nil {
+				return err
+			}
+		}
+		pairs[idx[w.Name]] = p
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	n := float64(len(s.Workloads))
+	for j := range rows {
+		for _, p := range pairs {
+			addPair(&rows[j].Pair, p[j])
+		}
+		rows[j].Energy /= n
+		rows[j].ED /= n
 	}
 	return rows, nil
 }

@@ -201,11 +201,11 @@ func (s *Suite) RunRequests(ctx context.Context, reqs []api.RunRequest, opts ...
 // WarmupSpecs returns the union of every standard grid the suite's
 // figures, extensions and flag ablations submit: the whole evaluation
 // expressed as one batch. Submitting it up front lets the engine's
-// single-pass grouping coalesce all cells that share a workload and
-// fetch stream — roughly two producer passes per workload per cache
-// geometry instead of one per cell — after which every individual
-// section is a pure run-cache hit. The engine deduplicates cells
-// repeated across grids, so the overlap between figures is free.
+// single-pass grouping coalesce all cells that share a workload — one
+// producer execution per workload instead of one per cell — after
+// which every individual section is a pure run-cache hit. The engine
+// deduplicates cells repeated across grids, so the overlap between
+// figures is free.
 func (s *Suite) WarmupSpecs() []engine.RunSpec {
 	var specs []engine.RunSpec
 	specs = append(specs, s.fig4Specs()...)

@@ -212,12 +212,11 @@ func (s *Suite) ExtensionProfileTransfer(ctx context.Context) ([]TransferRow, er
 		if err != nil {
 			return err
 		}
-		cfg := s.wpConfig(tightWPSize)
-		small, err := s.runVariant(ctx, w, cfg, w.Placed)
+		small, err := s.placedTightPair(ctx, w)
 		if err != nil {
 			return err
 		}
-		oracleRun, err := sim.RunContext(ctx, oracleProg, cfg)
+		oracleRun, err := sim.RunContext(ctx, oracleProg, s.wpConfig(tightWPSize))
 		if err != nil {
 			return err
 		}

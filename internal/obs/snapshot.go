@@ -20,8 +20,8 @@ type Grid struct {
 	Simulated uint64 `json:"simulated"`
 	CacheHits uint64 `json:"cache_hits"`
 	// Groups counts the single-pass multi-model groups the engine
-	// formed (cells sharing a workload and fetch stream simulated by
-	// one sim.RunMulti pass); CoalescedCells is how many of the
+	// formed (cells sharing a workload, simulated by one sim.RunMulti
+	// execution); CoalescedCells is how many of the
 	// simulated cells were members of such groups. Both stay zero on
 	// runs predating single-pass grouping or with it disabled, and are
 	// then omitted from the JSON.

@@ -85,12 +85,12 @@ type waiter struct {
 // tenantState is one tenant's accounting: held slots, parked waiters
 // and the DRR deficit. All fields are guarded by sched.mu.
 type tenantState struct {
-	name      string
-	weight    int
-	deficit   int // DRR credit, in cells
-	held      int // queue slots currently held
-	asyncHeld int // the async subset of held
-	waiting   []*waiter
+	name       string
+	weight     int
+	deficit    int // DRR credit, in cells
+	held       int // queue slots currently held
+	asyncHeld  int // the async subset of held
+	waiting    []*waiter
 	inRotation bool
 	lastSeen   time.Time
 }
@@ -104,14 +104,14 @@ type sched struct {
 	capacity int // total queue slots (Options.QueueDepth)
 	asyncCap int // global async reservation (Options.AsyncSlots)
 
-	slots       int // per-tenant slot quota (normalized)
-	asyncSlots  int // per-tenant async quota (normalized)
-	backlog     int // per-tenant parked-waiter bound (normalized)
-	admitWait   time.Duration
-	idleTTL     time.Duration
-	quantum     int
-	weights     map[string]int
-	gauge       *obs.Gauge // live tenant count (may be nil)
+	slots      int // per-tenant slot quota (normalized)
+	asyncSlots int // per-tenant async quota (normalized)
+	backlog    int // per-tenant parked-waiter bound (normalized)
+	admitWait  time.Duration
+	idleTTL    time.Duration
+	quantum    int
+	weights    map[string]int
+	gauge      *obs.Gauge // live tenant count (may be nil)
 
 	mu           sync.Mutex
 	draining     bool

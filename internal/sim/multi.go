@@ -16,20 +16,33 @@ package sim
 // thin one-model wrapper around it, and RunCoupled keeps the original
 // coupled loop as the reference implementation for internal/check.
 //
+// One execution also serves every relink of the program's unit. The
+// layout pass only reorders basic-block chains: fall-throughs are
+// kept, only B/BL displacements are patched, and the data image comes
+// from the unit. Every such binary therefore retires the same
+// instruction sequence with the same data-side behaviour, and its
+// fetch stream is the executing binary's stream with each address
+// mapped to where the same instruction landed in the relink. A
+// ModelSpec names its binary (Prog); RunMulti remaps each chunk into
+// every other binary through a code-index→address table.
+//
 // What is fetch-relevant in a Config — i.e. what must be shared by
 // models driven from one source — is exactly what the producer owns:
-// the program binary, Mem, Timing, DCache, DTLB, the I-TLB geometry
-// and MaxInstrs. Everything instruction-side (ICache geometry, scheme,
-// array style, WP size, ablation switches, adaptive policy) is
-// per-model, carried by a ModelSpec.
+// the unit, Mem, Timing, DCache, DTLB, the I-TLB geometry and
+// MaxInstrs. Everything instruction-side (the binary's layout, ICache
+// geometry, scheme, array style, WP size, ablation switches, adaptive
+// policy) is per-model, carried by a ModelSpec.
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 
 	"wayplace/internal/cache"
 	"wayplace/internal/cpu"
 	"wayplace/internal/energy"
+	"wayplace/internal/isa"
 	"wayplace/internal/mem"
 	"wayplace/internal/obj"
 	"wayplace/internal/tlb"
@@ -40,6 +53,11 @@ import (
 // knobs. It replaces the Config.WithScheme copy-and-mutate idiom as
 // the way to say "the same machine, under scheme X".
 type ModelSpec struct {
+	// Prog is the binary the model fetches from; nil means the pass's
+	// own program. Any other binary must be a relink of the same unit
+	// (the same basic blocks and data image in another block order),
+	// or the model fails with ErrNotRelink.
+	Prog *obj.Program
 	// Geometry is the I-cache configuration.
 	Geometry cache.Config
 	Scheme   energy.Scheme
@@ -82,11 +100,17 @@ type ModelResult struct {
 	Err error
 }
 
+// ErrNotRelink fails a model whose binary is not a relink of the
+// executing program's unit, so the pass's fetch stream cannot be
+// remapped into it.
+var ErrNotRelink = errors.New("sim: model binary is not a relink of the executing program's unit")
+
 // FetchRun is a maximal sub-sequence of a chunk whose events all lie
-// in one aligned block no larger than any model's cache line and the
-// I-TLB page: after the first event the line is resident and the page
-// translated for every model, so the remaining N-1 events can be
-// replayed in bulk (cache.FetchEngine FetchSameLine, tlb.TLB.BulkHits).
+// in one aligned block no larger than any of its binary's models'
+// cache lines and the I-TLB page: after the first event the line is
+// resident and the page translated for every model, so the remaining
+// N-1 events can be replayed in bulk (the fetch engines'
+// FetchSameLine, tlb.TLB.BulkHits).
 type FetchRun struct {
 	Start uint32 // index of the run's first event in Events
 	N     uint32 // number of events in the run
@@ -176,20 +200,84 @@ func (s *FetchSource) NextChunk(ctx context.Context) (*FetchChunk, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	// Segment into same-block runs. blockNeg ≥ 3, so masking it off
-	// also clears the indirect flag bit.
 	ev := s.events[:n]
-	runs := s.runs[:0]
-	start, block := 0, ev[0]&^s.blockNeg
-	for i := 1; i < n; i++ {
-		if b := ev[i] &^ s.blockNeg; b != block {
+	s.runs = segment(ev, s.blockNeg, s.runs[:0])
+	return &FetchChunk{Events: ev, Runs: s.runs}, nil
+}
+
+// segment appends the same-block runs of a non-empty event slice to
+// runs. blockNeg ≥ 3, so masking it off also clears the indirect flag
+// bit.
+func segment(ev []uint32, blockNeg uint32, runs []FetchRun) []FetchRun {
+	start, block := 0, ev[0]&^blockNeg
+	for i := 1; i < len(ev); i++ {
+		if b := ev[i] &^ blockNeg; b != block {
 			runs = append(runs, FetchRun{Start: uint32(start), N: uint32(i - start)})
 			start, block = i, b
 		}
 	}
-	runs = append(runs, FetchRun{Start: uint32(start), N: uint32(n - start)})
-	s.runs = runs
-	return &FetchChunk{Events: ev, Runs: runs}, nil
+	return append(runs, FetchRun{Start: uint32(start), N: uint32(len(ev) - start)})
+}
+
+// relinkAddrs maps each code index of exec to the address the same
+// instruction has in p, or fails with ErrNotRelink when p is not a
+// relink of exec's unit: the same blocks (by identity), covering the
+// whole image, and the same data image.
+func relinkAddrs(exec, p *obj.Program) ([]uint32, error) {
+	if len(p.Code) != len(exec.Code) || len(p.Placed) != len(exec.Placed) ||
+		p.DataBase != exec.DataBase || !bytes.Equal(p.Data, exec.Data) {
+		return nil, ErrNotRelink
+	}
+	at := make(map[*obj.Block]uint32, len(p.Placed))
+	for _, pl := range p.Placed {
+		at[pl.Block] = pl.Addr
+	}
+	addrs := make([]uint32, len(exec.Code))
+	covered := 0
+	for _, pl := range exec.Placed {
+		a, ok := at[pl.Block]
+		if !ok {
+			return nil, ErrNotRelink
+		}
+		i := (pl.Addr - exec.Base) / isa.InstrBytes
+		for k := range pl.Block.Instrs {
+			addrs[i+uint32(k)] = a + uint32(k)*isa.InstrBytes
+		}
+		covered += len(pl.Block.Instrs)
+	}
+	if covered != len(exec.Code) {
+		return nil, ErrNotRelink
+	}
+	return addrs, nil
+}
+
+// binaryStream is one binary's view of a pass: its models, its
+// run-segmentation block (the smallest of its models' lines, capped at
+// the page) and its shared reference I-TLB. For any binary but the
+// executing one it also holds the remap table.
+type binaryStream struct {
+	prog   *obj.Program
+	addrOf []uint32 // executing code index -> address here; nil for the executing binary
+	err    error    // relink failure: every model of this binary fails with it
+	block  int
+	shared *tlb.TLB
+	models []CacheModel
+}
+
+// remap rewrites the executing binary's chunk into this binary's
+// addresses, keeping each event's indirect flag, and segments it into
+// dst, whose buffers every relink of the pass reuses in turn.
+func (b *binaryStream) remap(ch *FetchChunk, execBase uint32, dst *FetchChunk) *FetchChunk {
+	if cap(dst.Events) < len(ch.Events) {
+		dst.Events = make([]uint32, len(ch.Events))
+	}
+	ev := dst.Events[:len(ch.Events)]
+	for i, e := range ch.Events {
+		ev[i] = b.addrOf[(e-execBase)/isa.InstrBytes] | e&cpu.EventIndirect
+	}
+	dst.Events = ev
+	dst.Runs = segment(ev, uint32(b.block-1), dst.Runs[:0])
+	return dst
 }
 
 // CacheModel is one instruction-side model consuming a fetch-event
@@ -224,28 +312,15 @@ func (o staticWPOracle) WayPlaced(addr uint32) bool {
 }
 
 // The bulk models replay runs in bulk: one real Fetch per run, then
-// the engine's FetchSameLine fast path for the rest. Valid for every
-// scheme whose per-event behaviour inside a resident line is
-// state-independent (baseline, way-memoization, way-placement with the
-// same-line optimisation on). One concrete model type per engine keeps
-// the per-run calls direct (devirtualised and inlinable) — this loop
-// runs once per fetch run per model and dominates consume time.
-
-type baselineBulkModel struct {
-	modelCore
-	be *cache.BaselineEngine
-}
-
-func (m *baselineBulkModel) Consume(ch *FetchChunk) error {
-	for _, r := range ch.Runs {
-		ev := ch.Events[r.Start]
-		m.be.Fetch(cpu.EventAddr(ev), ev&cpu.EventIndirect != 0)
-		if r.N > 1 {
-			m.be.FetchSameLine(int(r.N - 1))
-		}
-	}
-	return nil
-}
+// the engine's FetchSameLine fast path for the rest — a same-line hit
+// per fetch or, with the same-line skip ablated, a repeat of the
+// previous access. One concrete model type per engine keeps the per-run calls
+// direct (devirtualised and inlinable) — this loop runs once per fetch
+// run per model and dominates consume time.
+//
+// A baseline model is a way-memoization model: way-memoization never
+// changes what the cache holds, so a baseline spec finalizes from it
+// (baselineStats) and needs no replay of its own.
 
 type wayMemoBulkModel struct {
 	modelCore
@@ -279,24 +354,12 @@ func (m *wayPlaceBulkModel) Consume(ch *FetchChunk) error {
 	return nil
 }
 
-// eventModel replays every event individually — needed when the
-// same-line shortcut is ablated away (NoSameLine), where even
-// intra-line fetches change hint state and tag-check counts.
-type eventModel struct {
-	modelCore
-}
-
-func (m *eventModel) Consume(ch *FetchChunk) error {
-	for _, ev := range ch.Events {
-		m.fe.Fetch(cpu.EventAddr(ev), ev&cpu.EventIndirect != 0)
-	}
-	return nil
-}
-
-// adaptiveModel replays events under the adaptive OS policy: a private
+// adaptiveModel replays runs under the adaptive OS policy: a private
 // I-TLB (OS invalidations make its stats diverge from the shared one)
 // and an OS decision point every IntervalInstrs consumed events,
-// reproducing sim.RunAdaptive's coupled loop bit for bit.
+// reproducing sim.RunAdaptive's coupled loop bit for bit. A run that
+// straddles a decision point is split there; each piece replays in
+// bulk like any other run.
 type adaptiveModel struct {
 	modelCore
 	wpe      *cache.WayPlacementEngine
@@ -309,16 +372,27 @@ type adaptiveModel struct {
 
 func (m *adaptiveModel) Consume(ch *FetchChunk) error {
 	interval := m.pol.IntervalInstrs
-	for _, ev := range ch.Events {
-		if m.consumed > 0 && m.consumed%interval == 0 {
-			if err := m.decide(); err != nil {
-				return err
+	for _, r := range ch.Runs {
+		at, left := uint64(r.Start), uint64(r.N)
+		for left > 0 {
+			if m.consumed > 0 && m.consumed%interval == 0 {
+				if err := m.decide(); err != nil {
+					return err
+				}
 			}
+			k := min(left, interval-m.consumed%interval)
+			ev := ch.Events[at]
+			addr := cpu.EventAddr(ev)
+			m.ownITLB.Lookup(addr)
+			m.wpe.Fetch(addr, ev&cpu.EventIndirect != 0)
+			if k > 1 {
+				m.ownITLB.BulkHits(k - 1)
+				m.wpe.FetchSameLine(int(k-1), cpu.EventAddr(ch.Events[at+k-1]))
+			}
+			m.consumed += k
+			at += k
+			left -= k
 		}
-		addr := cpu.EventAddr(ev)
-		m.ownITLB.Lookup(addr)
-		m.wpe.Fetch(addr, ev&cpu.EventIndirect != 0)
-		m.consumed++
 	}
 	return nil
 }
@@ -390,17 +464,7 @@ func newModel(base Config, spec ModelSpec, prog *obj.Program) (CacheModel, error
 	}
 
 	switch spec.Scheme {
-	case energy.Baseline:
-		be, err := cache.NewBaseline(spec.Geometry)
-		if err != nil {
-			return nil, err
-		}
-		return &baselineBulkModel{
-			modelCore: modelCore{spec: spec, fe: be},
-			be:        be,
-		}, nil
-
-	case energy.WayMemoization:
+	case energy.Baseline, energy.WayMemoization:
 		wm, err := cache.NewWayMemoization(spec.Geometry)
 		if err != nil {
 			return nil, err
@@ -429,9 +493,6 @@ func newModel(base Config, spec ModelSpec, prog *obj.Program) (CacheModel, error
 		}
 		wpe.OracleHint = spec.OracleHint
 		wpe.NoSameLine = spec.NoSameLine
-		if spec.NoSameLine {
-			return &eventModel{modelCore: modelCore{spec: spec, fe: wpe}}, nil
-		}
 		return &wayPlaceBulkModel{
 			modelCore: modelCore{spec: spec, fe: wpe},
 			wpe:       wpe,
@@ -456,15 +517,18 @@ func validateShared(base Config) error {
 
 // RunMulti executes prog once on the machine described by base's
 // producer-side fields and evaluates every model against the shared
-// fetch stream. Results are positional: results[i] belongs to
-// models[i], carrying either stats or a per-model error. The returned
-// error is reserved for whole-pass failures — producer faults, budget
-// exhaustion, cancellation — which leave no per-model results.
+// fetch stream. A model whose Prog names another binary sees the same
+// stream remapped into that binary; each binary gets its own run
+// segmentation and its own shared I-TLB. Results are positional:
+// results[i] belongs to models[i], carrying either stats or a
+// per-model error. The returned error is reserved for whole-pass
+// failures — producer faults, budget exhaustion, cancellation — which
+// leave no per-model results.
 //
 // Stats are bit-identical to running each model through the coupled
-// per-cell loop (RunCoupled / RunAdaptive); internal/check's
-// differential harness and check.TestSinglePassMatchesPerCell enforce
-// this.
+// per-cell loop (RunCoupled / RunAdaptive) on its own binary;
+// internal/check's differential harness and
+// check.TestSinglePassMatchesPerCell enforce this.
 func RunMulti(ctx context.Context, prog *obj.Program, base Config, models []ModelSpec) ([]*ModelResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -479,13 +543,15 @@ func RunMulti(ctx context.Context, prog *obj.Program, base Config, models []Mode
 	// activity, so one consumed model serves all of them and each spec
 	// gets its own finalize (energy accounting reads the spec's array
 	// style). Beyond exact instruction-side duplicates this collapses
-	// way-placement areas that both cover the whole text image: every
+	// way-placement areas that both cover the whole text image — every
 	// fetch address lies inside [Base, Base+Size()), so any area at
-	// least that large saturates the static oracle.
+	// least that large saturates the static oracle — and a baseline
+	// onto the way-memoization model of its binary and geometry.
 	type behaviourKey struct {
+		prog       *obj.Program
 		geom       cache.Config
-		scheme     energy.Scheme
-		wp         uint32 // effective WP size; wpSaturated once ≥ text
+		scheme     energy.Scheme // baseline keys as way-memoization
+		wp         uint32        // effective WP size; wpSaturated once ≥ text
 		oracleHint bool
 		noSameLine bool
 	}
@@ -496,27 +562,53 @@ func RunMulti(ctx context.Context, prog *obj.Program, base Config, models []Mode
 	// Build models; spec problems fail per model, not the pass. Every
 	// spec is built (keeping per-spec validation errors identical to the
 	// coupled path) but aliases are then discarded rather than driven.
+	specs := make([]ModelSpec, len(models))
 	built := make([]CacheModel, len(models))
-	live := make([]CacheModel, 0, len(models))
-	needShared := false
-	block := base.ITLB.PageBytes
+	streamOf := make([]*binaryStream, len(models))
+	byProg := make(map[*obj.Program]*binaryStream)
+	var streams []*binaryStream
+	live := 0
 	for i, spec := range models {
 		aliasOf[i] = -1
-		m, err := newModel(base, spec, prog)
+		if spec.Prog == nil {
+			spec.Prog = prog
+		}
+		specs[i] = spec
+		st := byProg[spec.Prog]
+		if st == nil {
+			st = &binaryStream{prog: spec.Prog, block: base.ITLB.PageBytes}
+			if spec.Prog != prog {
+				st.addrOf, st.err = relinkAddrs(prog, spec.Prog)
+			}
+			byProg[spec.Prog] = st
+			if st.err == nil {
+				streams = append(streams, st)
+			}
+		}
+		if st.err != nil {
+			results[i] = &ModelResult{Err: st.err}
+			continue
+		}
+		m, err := newModel(base, spec, spec.Prog)
 		if err != nil {
 			results[i] = &ModelResult{Err: err}
 			continue
 		}
+		streamOf[i] = st
 		if spec.Adaptive == nil {
 			k := behaviourKey{
+				prog:       spec.Prog,
 				geom:       spec.Geometry,
 				scheme:     spec.Scheme,
 				oracleHint: spec.OracleHint,
 				noSameLine: spec.NoSameLine,
 			}
-			if spec.Scheme == energy.WayPlacement {
+			switch spec.Scheme {
+			case energy.Baseline:
+				k.scheme = energy.WayMemoization
+			case energy.WayPlacement:
 				k.wp = spec.WPSize
-				if spec.WPSize >= prog.Size() {
+				if spec.WPSize >= spec.Prog.Size() {
 					k.wp = wpSaturated
 				}
 			}
@@ -527,35 +619,39 @@ func RunMulti(ctx context.Context, prog *obj.Program, base Config, models []Mode
 			primary[k] = i
 		}
 		built[i] = m
-		live = append(live, m)
-		if m.core().ownITLB == nil {
-			needShared = true
-		}
-		if lb := m.core().spec.Geometry.LineBytes; lb < block {
-			block = lb
-		}
+		live++
+		st.models = append(st.models, m)
+		st.block = min(st.block, spec.Geometry.LineBytes)
 	}
-	if len(live) == 0 {
+	if live == 0 {
 		return results, nil
 	}
 
-	// Shared reference I-TLB: lookup outcomes depend only on the
-	// address stream and the TLB geometry — never on the WP area — so
-	// one replay serves every non-adaptive model.
-	var shared *tlb.TLB
-	if needShared {
-		t, err := tlb.New(base.ITLB)
-		if err != nil {
-			return nil, err
+	// Shared reference I-TLB per binary: lookup outcomes depend only on
+	// the address stream and the TLB geometry — never on the WP area —
+	// so one replay serves every non-adaptive model of the binary.
+	execBlock := base.ITLB.PageBytes
+	for _, st := range streams {
+		if st.prog == prog {
+			execBlock = st.block
 		}
-		shared = t
+		for _, m := range st.models {
+			if m.core().ownITLB == nil && st.shared == nil {
+				t, err := tlb.New(base.ITLB)
+				if err != nil {
+					return nil, err
+				}
+				st.shared = t
+			}
+		}
 	}
 
-	src, err := NewFetchSource(prog, base, block)
+	src, err := NewFetchSource(prog, base, execBlock)
 	if err != nil {
 		return nil, err
 	}
-	for {
+	var relinked FetchChunk
+	for live > 0 {
 		ch, err := src.NextChunk(ctx)
 		if err != nil {
 			return nil, err
@@ -563,38 +659,47 @@ func RunMulti(ctx context.Context, prog *obj.Program, base Config, models []Mode
 		if ch == nil {
 			break
 		}
-		if shared != nil {
-			for _, r := range ch.Runs {
-				shared.Lookup(cpu.EventAddr(ch.Events[r.Start]))
-				if r.N > 1 {
-					shared.BulkHits(uint64(r.N - 1))
-				}
-			}
-		}
-		n := 0
-		for _, m := range live {
-			if cerr := m.Consume(ch); cerr != nil {
-				for i, b := range built {
-					if b == m {
-						results[i] = &ModelResult{Err: cerr}
-						built[i] = nil
-					}
-				}
+		for _, st := range streams {
+			if len(st.models) == 0 {
 				continue
 			}
-			live[n] = m
-			n++
-		}
-		live = live[:n]
-		if len(live) == 0 {
-			break
+			sch := ch
+			if st.addrOf != nil {
+				sch = st.remap(ch, prog.Base, &relinked)
+			}
+			if st.shared != nil {
+				for _, r := range sch.Runs {
+					st.shared.Lookup(cpu.EventAddr(sch.Events[r.Start]))
+					if r.N > 1 {
+						st.shared.BulkHits(uint64(r.N - 1))
+					}
+				}
+			}
+			n := 0
+			for _, m := range st.models {
+				if cerr := m.Consume(sch); cerr != nil {
+					for i, b := range built {
+						if b == m {
+							results[i] = &ModelResult{Err: cerr}
+							built[i] = nil
+						}
+					}
+					live--
+					continue
+				}
+				st.models[n] = m
+				n++
+			}
+			st.models = st.models[:n]
 		}
 	}
 
 	memHash := src.mem.Hash(cpu.StackRegionBase)
-	var sharedStats tlb.Stats
-	if shared != nil {
-		sharedStats = shared.Stats
+	sharedStats := func(st *binaryStream) tlb.Stats {
+		if st.shared == nil {
+			return tlb.Stats{}
+		}
+		return st.shared.Stats
 	}
 	for i, m := range built {
 		if m == nil {
@@ -602,7 +707,7 @@ func RunMulti(ctx context.Context, prog *obj.Program, base Config, models []Mode
 		}
 		c := m.core()
 		results[i] = &ModelResult{
-			Stats:       c.finalize(base, src, sharedStats, memHash),
+			Stats:       c.finalize(base, src, sharedStats(streamOf[i]), memHash),
 			AreaChanges: c.changes,
 		}
 	}
@@ -617,7 +722,7 @@ func RunMulti(ctx context.Context, prog *obj.Program, base Config, models []Mode
 			continue
 		}
 		results[i] = &ModelResult{
-			Stats: built[p].core().finalizeAs(models[i], base, src, sharedStats, memHash),
+			Stats: built[p].core().finalizeAs(specs[i], base, src, sharedStats(streamOf[i]), memHash),
 		}
 	}
 	return results, nil
@@ -638,12 +743,16 @@ func (m *modelCore) finalize(base Config, src *FetchSource, shared tlb.Stats, me
 }
 
 // finalizeAs assembles RunStats for spec from m's consumed state. spec
-// must be behaviourally identical to m.spec (same geometry, scheme and
-// effective WP area); it may differ in array style and in the exact WP
+// must be behaviourally identical to m.spec (same binary, geometry,
+// scheme and effective WP area, a baseline counting as
+// way-memoization); it may differ in array style and in the exact WP
 // size when both areas cover the text image, neither of which affects
 // the counted events — only the energy model reads them.
 func (m *modelCore) finalizeAs(spec ModelSpec, base Config, src *FetchSource, shared tlb.Stats, memHash uint64) *RunStats {
 	istats := m.fe.Cache().Stats
+	if spec.Scheme == energy.Baseline {
+		istats = baselineStats(istats, spec.Geometry.Ways)
+	}
 	itlbStats := shared
 	if m.ownITLB != nil {
 		itlbStats = m.ownITLB.Stats
@@ -682,4 +791,24 @@ func (m *modelCore) finalizeAs(spec ModelSpec, base Config, src *FetchSource, sh
 		Cycles: rs.Cycles,
 	})
 	return rs
+}
+
+// baselineStats derives a full-search cache's statistics from a
+// way-memoization cache of the same geometry that consumed the same
+// fetch stream. Way-memoization only changes how a fetch finds its
+// line, never what the cache holds: every fetch hits or misses, fills
+// and updates recency exactly as in the baseline, so hits, misses,
+// fills and data reads carry over. The baseline then searches all W
+// tags on every fetch.
+func baselineStats(wm cache.Stats, ways int) cache.Stats {
+	return cache.Stats{
+		Fetches:            wm.Fetches,
+		FullSearches:       wm.Fetches,
+		TagComparisons:     uint64(ways) * wm.Fetches,
+		Hits:               wm.Hits,
+		Misses:             wm.Misses,
+		LineFills:          wm.LineFills,
+		DataReads:          wm.DataReads,
+		NonDesignatedFills: wm.NonDesignatedFills,
+	}
 }
