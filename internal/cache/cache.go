@@ -165,6 +165,35 @@ func (s *Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(t)
 }
 
+// addRepeats adds k more copies of the counts accumulated since mark:
+// every field grows by k × (s − mark). A field added to Stats must be
+// added here too; TestAddRepeatsCoversEveryField checks by reflection.
+func (s *Stats) addRepeats(mark *Stats, k uint64) {
+	s.Fetches += k * (s.Fetches - mark.Fetches)
+	s.SameLineHits += k * (s.SameLineHits - mark.SameLineHits)
+	s.FullSearches += k * (s.FullSearches - mark.FullSearches)
+	s.SingleSearches += k * (s.SingleSearches - mark.SingleSearches)
+	s.LinkedAccesses += k * (s.LinkedAccesses - mark.LinkedAccesses)
+	s.TagComparisons += k * (s.TagComparisons - mark.TagComparisons)
+	s.Hits += k * (s.Hits - mark.Hits)
+	s.Misses += k * (s.Misses - mark.Misses)
+	s.LineFills += k * (s.LineFills - mark.LineFills)
+	s.DataReads += k * (s.DataReads - mark.DataReads)
+	s.DataWrites += k * (s.DataWrites - mark.DataWrites)
+	s.Writebacks += k * (s.Writebacks - mark.Writebacks)
+	s.LinkWrites += k * (s.LinkWrites - mark.LinkWrites)
+	s.StaleLinks += k * (s.StaleLinks - mark.StaleLinks)
+	s.Flushes += k * (s.Flushes - mark.Flushes)
+	s.HintCorrectWP += k * (s.HintCorrectWP - mark.HintCorrectWP)
+	s.HintCorrectNon += k * (s.HintCorrectNon - mark.HintCorrectNon)
+	s.HintMissedSaving += k * (s.HintMissedSaving - mark.HintMissedSaving)
+	s.HintExtraAccess += k * (s.HintExtraAccess - mark.HintExtraAccess)
+	s.WPAccesses += k * (s.WPAccesses - mark.WPAccesses)
+	s.WPAreaFetches += k * (s.WPAreaFetches - mark.WPAreaFetches)
+	s.DesignatedFills += k * (s.DesignatedFills - mark.DesignatedFills)
+	s.NonDesignatedFills += k * (s.NonDesignatedFills - mark.NonDesignatedFills)
+}
+
 type link struct {
 	gen   uint64 // matches the target line's generation when still valid
 	set   int32
@@ -342,6 +371,37 @@ func (c *Cache) touch(set, way int) {
 	c.tick++
 	c.sets[set][way].lastUse = c.tick
 	c.mru[set] = way
+}
+
+// checkpoint is the cache half of a fetch engine's repeat mark: the
+// counters, the recency clock and the fill generation when the mark
+// was taken.
+type checkpoint struct {
+	stats Stats
+	tick  uint64
+	gen   uint64
+}
+
+func (c *Cache) checkpoint() checkpoint {
+	return checkpoint{stats: c.Stats, tick: c.tick, gen: c.gen}
+}
+
+// unchangedSince reports whether no line was filled or flushed since
+// cp. Every fill and every flush of a valid line bumps gen, and a fetch
+// that misses always fills, so the fetches since cp all hit and the
+// cache holds exactly the lines it held at cp. Hits change only
+// recency (tick, lastUse, mru), which is read only when a miss picks a
+// victim.
+func (c *Cache) unchangedSince(cp *checkpoint) bool { return c.gen == cp.gen }
+
+// repeatSince charges k more copies of the all-hit fetches made since
+// cp: the counters by k × their growth and the recency clock by k ×
+// its advance. lastUse and mru keep the values the copy left; a caller
+// that replays one more copy afterwards rewrites them exactly as a
+// full replay would.
+func (c *Cache) repeatSince(cp *checkpoint, k uint64) {
+	c.Stats.addRepeats(&cp.stats, k)
+	c.tick += k * (c.tick - cp.tick)
 }
 
 // lineRef returns the line at (set, way).

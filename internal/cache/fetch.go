@@ -95,7 +95,6 @@ func (f WPOracleFunc) WayPlaced(addr uint32) bool { return f(addr) }
 type WayPlacementEngine struct {
 	c      *Cache
 	oracle WPOracle
-	hint   bool // way-hint bit: was the previous fetch way-placed?
 
 	// OracleHint replaces the 1-bit way hint with perfect knowledge
 	// of the way-placement bit before the access (as if the I-TLB
@@ -105,6 +104,18 @@ type WayPlacementEngine struct {
 	// NoSameLine disables the same-line tag-check skip of section
 	// 4.2. Used by the same-line ablation.
 	NoSameLine bool
+
+	wpState
+	mark struct {
+		cp checkpoint
+		st wpState
+	}
+}
+
+// wpState is the way-placement engine's per-fetch state beside the
+// cache array: the way hint and the line buffer.
+type wpState struct {
+	hint bool // way-hint bit: was the previous fetch way-placed?
 
 	haveLine bool
 	lineAddr uint32
@@ -278,6 +289,30 @@ func (e *WayPlacementEngine) repeatAccess(n int, lastAddr uint32) {
 	c.mru[e.lineSet] = e.lineWay
 }
 
+// Mark records the engine's state before one copy of a repeated fetch
+// sequence is replayed; SkipRepeats then decides whether further copies
+// can be charged without replaying them. The mark lives in the engine,
+// so taking one allocates nothing.
+func (e *WayPlacementEngine) Mark() {
+	e.mark.cp = e.c.checkpoint()
+	e.mark.st = e.wpState
+}
+
+// SkipRepeats charges k more copies of the fetches replayed since Mark,
+// without replaying them, and reports whether it did. It refuses unless
+// the copy filled nothing and left the hint and line buffer as it found
+// them: then each further copy meets the same lines and the same state,
+// takes the same paths and adds the same counts. Recency advances by k
+// copies' worth of ticks; the caller replays the final copy normally so
+// that lastUse and mru end where a full replay leaves them.
+func (e *WayPlacementEngine) SkipRepeats(k uint64) bool {
+	if !e.c.unchangedSince(&e.mark.cp) || e.wpState != e.mark.st {
+		return false
+	}
+	e.c.repeatSince(&e.mark.cp, k)
+	return true
+}
+
 // fullAccess performs a conventional all-ways access. Lines belonging
 // to the way-placement area are still filled into their designated
 // way: placement is a property of the address, not of how the access
@@ -319,6 +354,16 @@ func (e *WayPlacementEngine) fullAccess(addr uint32, set int, tag uint32, inWP b
 type WayMemoizationEngine struct {
 	c *Cache
 
+	wmState
+	mark struct {
+		cp checkpoint
+		st wmState
+	}
+}
+
+// wmState is the way-memoization engine's per-fetch state beside the
+// cache array: where the previous fetch was served from.
+type wmState struct {
 	havePrev bool
 	prevAddr uint32
 	prevSet  int
@@ -474,6 +519,29 @@ func (e *WayMemoizationEngine) FetchSameLine(n int, lastAddr uint32) {
 	c.sets[e.prevSet][e.prevWay].lastUse = c.tick
 	c.mru[e.prevSet] = e.prevWay
 	e.prevAddr = lastAddr
+}
+
+// Mark records the engine's state before one copy of a repeated fetch
+// sequence is replayed (see WayPlacementEngine.Mark).
+func (e *WayMemoizationEngine) Mark() {
+	e.mark.cp = e.c.checkpoint()
+	e.mark.st = e.wmState
+}
+
+// SkipRepeats charges k more copies of the fetches replayed since Mark
+// and reports whether it did (see WayPlacementEngine.SkipRepeats).
+// Besides filling nothing and ending in the marked state, the copy must
+// have written and invalidated no link: links are the one part of the
+// array a hit can change.
+func (e *WayMemoizationEngine) SkipRepeats(k uint64) bool {
+	m := &e.mark
+	if !e.c.unchangedSince(&m.cp) || e.wmState != m.st ||
+		e.c.Stats.LinkWrites != m.cp.stats.LinkWrites ||
+		e.c.Stats.StaleLinks != m.cp.stats.StaleLinks {
+		return false
+	}
+	e.c.repeatSince(&m.cp, k)
+	return true
 }
 
 func (e *WayMemoizationEngine) note(addr uint32, set, way int) {

@@ -27,11 +27,14 @@ func TestSinglePassMatchesPerCell(t *testing.T) {
 
 	// Geometry zoo: the default 32KB/32-way, a small low-associativity
 	// corner, a wide-line configuration (line larger than the
-	// segmentation block of line-32 models), and an LRU variant.
+	// segmentation block of line-32 models), an LRU variant, and a
+	// thrashing 1KB/2-way cache whose loop copies keep missing, so the
+	// replay's repeat fast-forward is refused as well as taken.
 	geoDefault := base.ICache
 	geoSmall := cache.Config{SizeBytes: 8 << 10, Ways: 8, LineBytes: 32, Policy: cache.RoundRobin}
 	geoWide := cache.Config{SizeBytes: 16 << 10, Ways: 16, LineBytes: 64, Policy: cache.RoundRobin}
 	geoLRU := cache.Config{SizeBytes: 8 << 10, Ways: 8, LineBytes: 32, Policy: cache.LRU}
+	geoThrash := cache.Config{SizeBytes: 1 << 10, Ways: 2, LineBytes: 32, Policy: cache.RoundRobin}
 
 	pol := sim.DefaultAdaptivePolicy(geoDefault, base.ITLB.PageBytes)
 
@@ -42,6 +45,7 @@ func TestSinglePassMatchesPerCell(t *testing.T) {
 		{Geometry: geoLRU, Scheme: energy.Baseline},
 		{Geometry: geoDefault, Scheme: energy.WayMemoization},
 		{Geometry: geoWide, Scheme: energy.WayMemoization},
+		{Geometry: geoThrash, Scheme: energy.WayMemoization},
 	}
 	placedModels := []sim.ModelSpec{
 		{Geometry: geoDefault, Scheme: energy.WayPlacement, WPSize: 16 << 10},
@@ -50,6 +54,8 @@ func TestSinglePassMatchesPerCell(t *testing.T) {
 		{Geometry: geoDefault, Scheme: energy.WayPlacement, WPSize: 16 << 10, NoSameLine: true},
 		{Geometry: geoSmall, Scheme: energy.WayPlacement, WPSize: 4 << 10},
 		{Geometry: geoWide, Scheme: energy.WayPlacement, WPSize: 8 << 10},
+		{Geometry: geoLRU, Scheme: energy.WayPlacement, WPSize: 2 << 10},
+		{Geometry: geoThrash, Scheme: energy.WayPlacement, WPSize: 1 << 10},
 		{Geometry: geoDefault, Adaptive: &pol},
 	}
 	// The layout ablation's relinks, under the scarce area where layout

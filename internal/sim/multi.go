@@ -118,11 +118,28 @@ type FetchRun struct {
 
 // FetchChunk is one batch of fetch events. Events holds one word per
 // retired instruction: the fetch address with cpu.EventIndirect in bit
-// 0. Runs segments the same events for bulk replay. Both slices alias
-// buffers reused by the next NextChunk call.
+// 0. Runs segments the same events for bulk replay. Repeats marks
+// stretches of Runs that repeat exactly, in increasing At order and
+// without overlap, so a model can fast-forward loop iterations; nil
+// means none are known, and a consumer that ignores Repeats replays
+// the chunk correctly. NextChunk leaves Repeats nil; RunMulti fills it
+// per binary after segmentation. All slices alias buffers reused by
+// the next chunk.
 type FetchChunk struct {
-	Events []uint32
-	Runs   []FetchRun
+	Events  []uint32
+	Runs    []FetchRun
+	Repeats []FetchRepeat
+}
+
+// FetchRepeat says that runs [At, At+Count·Period) of a chunk repeat
+// runs [At−Period, At) exactly, Count times back to back. Runs match
+// when they agree in everything a model reads: the first event word
+// (address and indirect flag), the length N and the last event word.
+// The reference copy [At−Period, At) lies inside the same chunk.
+type FetchRepeat struct {
+	At     uint32 // index of the first run of the first repeated copy
+	Period uint32 // runs per copy, at most maxRepeatPeriod
+	Count  uint32 // repeated copies after the reference, at least minRepeatCount
 }
 
 // fetchChunkEvents is the production batch size: large enough to
@@ -219,6 +236,69 @@ func segment(ev []uint32, blockNeg uint32, runs []FetchRun) []FetchRun {
 	return append(runs, FetchRun{Start: uint32(start), N: uint32(len(ev) - start)})
 }
 
+// Repeat detection bounds. maxRepeatPeriod caps how many runs back the
+// detector looks for the previous copy. minRepeatCount is the fewest
+// copies after the reference worth reporting: a model replays one copy
+// from its mark and replays the last one for exact recency, so three
+// is the least that leaves one to skip.
+const (
+	maxRepeatPeriod = 512
+	minRepeatCount  = 3
+	repeatHashBits  = 12
+)
+
+// repeatDetector finds the FetchRepeats of a segmented chunk in one
+// greedy pass. last maps a hash of a run's first event word to the
+// most recent run with that hash; it proposes the distance back to that
+// run as the period when no repeat is being extended. Its buffers are
+// reused from chunk to chunk.
+type repeatDetector struct {
+	last    [1 << repeatHashBits]int32 // run index + 1; 0 is empty
+	repeats []FetchRepeat
+}
+
+// sameRun reports whether runs a and b look identical to every model.
+func sameRun(ev []uint32, a, b FetchRun) bool {
+	return a.N == b.N && ev[a.Start] == ev[b.Start] && ev[a.Start+a.N-1] == ev[b.Start+b.N-1]
+}
+
+// find returns ch's repeats. It extends one candidate period at a time:
+// while run i equals run i−period the stretch grows; when it breaks the
+// stretch is emitted if it holds at least minRepeatCount whole copies,
+// and the last-seen table proposes a new period at i. The returned
+// slice is valid until the next call.
+func (d *repeatDetector) find(ch *FetchChunk) []FetchRepeat {
+	clear(d.last[:])
+	ev, runs := ch.Events, ch.Runs
+	out := d.repeats[:0]
+	period, streak := 0, 0 // runs [i−streak, i) each equal the run period before
+	emit := func(end int) {
+		if period > 0 && streak/period >= minRepeatCount {
+			out = append(out, FetchRepeat{
+				At:     uint32(end - streak),
+				Period: uint32(period),
+				Count:  uint32(streak / period),
+			})
+		}
+	}
+	for i, r := range runs {
+		h := (ev[r.Start] * 0x9e3779b1) >> (32 - repeatHashBits)
+		if period > 0 && sameRun(ev, r, runs[i-period]) {
+			streak++
+		} else {
+			emit(i)
+			period, streak = 0, 0
+			if j := int(d.last[h]) - 1; j >= 0 && i-j <= maxRepeatPeriod && sameRun(ev, r, runs[j]) {
+				period, streak = i-j, 1
+			}
+		}
+		d.last[h] = int32(i + 1)
+	}
+	emit(len(runs))
+	d.repeats = out
+	return out
+}
+
 // relinkAddrs maps each code index of exec to the address the same
 // instruction has in p, or fails with ErrNotRelink when p is not a
 // relink of exec's unit: the same blocks (by identity), covering the
@@ -311,12 +391,47 @@ func (o staticWPOracle) WayPlaced(addr uint32) bool {
 	return o.size != 0 && addr >= o.start && addr-o.start < o.size
 }
 
+// repeatReplayer is a model that replays runs and can fast-forward the
+// repeated copies of a FetchRepeat (cache.WayPlacementEngine.Mark and
+// SkipRepeats state the rule).
+type repeatReplayer interface {
+	replayRuns(ev []uint32, runs []FetchRun)
+	Mark()
+	SkipRepeats(k uint64) bool
+}
+
+// replayRepeats replays ch through r. Within each repeat it replays one
+// copy from a mark; if the model then accepts, every remaining copy
+// but the last is charged in one step, and the last copy is replayed
+// normally so recency ends exact. A refused copy simply moves the mark
+// to the next one.
+func replayRepeats(r repeatReplayer, ch *FetchChunk) {
+	ev, runs := ch.Events, ch.Runs
+	next := uint32(0)
+	for _, rp := range ch.Repeats {
+		r.replayRuns(ev, runs[next:rp.At])
+		at, left, p := rp.At, rp.Count, rp.Period
+		for left >= 3 { // a copy to mark, at least one to skip, the last
+			r.Mark()
+			r.replayRuns(ev, runs[at:at+p])
+			at, left = at+p, left-1
+			if r.SkipRepeats(uint64(left - 1)) {
+				at, left = at+(left-1)*p, 1
+			}
+		}
+		next = at + left*p
+		r.replayRuns(ev, runs[at:next])
+	}
+	r.replayRuns(ev, runs[next:])
+}
+
 // The bulk models replay runs in bulk: one real Fetch per run, then
 // the engine's FetchSameLine fast path for the rest — a same-line hit
 // per fetch or, with the same-line skip ablated, a repeat of the
-// previous access. One concrete model type per engine keeps the per-run calls
-// direct (devirtualised and inlinable) — this loop runs once per fetch
-// run per model and dominates consume time.
+// previous access — and fast-forward the chunk's repeats. One concrete
+// model type per engine keeps the per-run calls direct (devirtualised
+// and inlinable) — this loop runs once per fetch run per model and
+// dominates consume time.
 //
 // A baseline model is a way-memoization model: way-memoization never
 // changes what the cache holds, so a baseline spec finalizes from it
@@ -324,34 +439,57 @@ func (o staticWPOracle) WayPlaced(addr uint32) bool {
 
 type wayMemoBulkModel struct {
 	modelCore
-	wm *cache.WayMemoizationEngine
+	*cache.WayMemoizationEngine
 }
 
 func (m *wayMemoBulkModel) Consume(ch *FetchChunk) error {
-	for _, r := range ch.Runs {
-		ev := ch.Events[r.Start]
-		m.wm.Fetch(cpu.EventAddr(ev), ev&cpu.EventIndirect != 0)
+	replayRepeats(m, ch)
+	return nil
+}
+
+func (m *wayMemoBulkModel) replayRuns(ev []uint32, runs []FetchRun) {
+	wm := m.WayMemoizationEngine
+	for _, r := range runs {
+		e := ev[r.Start]
+		wm.Fetch(cpu.EventAddr(e), e&cpu.EventIndirect != 0)
 		if r.N > 1 {
-			m.wm.FetchSameLine(int(r.N-1), cpu.EventAddr(ch.Events[r.Start+r.N-1]))
+			wm.FetchSameLine(int(r.N-1), cpu.EventAddr(ev[r.Start+r.N-1]))
 		}
 	}
-	return nil
 }
 
 type wayPlaceBulkModel struct {
 	modelCore
-	wpe *cache.WayPlacementEngine
+	*cache.WayPlacementEngine
 }
 
 func (m *wayPlaceBulkModel) Consume(ch *FetchChunk) error {
-	for _, r := range ch.Runs {
-		ev := ch.Events[r.Start]
-		m.wpe.Fetch(cpu.EventAddr(ev), ev&cpu.EventIndirect != 0)
+	replayRepeats(m, ch)
+	return nil
+}
+
+func (m *wayPlaceBulkModel) replayRuns(ev []uint32, runs []FetchRun) {
+	wpe := m.WayPlacementEngine
+	for _, r := range runs {
+		e := ev[r.Start]
+		wpe.Fetch(cpu.EventAddr(e), e&cpu.EventIndirect != 0)
 		if r.N > 1 {
-			m.wpe.FetchSameLine(int(r.N-1), cpu.EventAddr(ch.Events[r.Start+r.N-1]))
+			wpe.FetchSameLine(int(r.N-1), cpu.EventAddr(ev[r.Start+r.N-1]))
 		}
 	}
-	return nil
+}
+
+// sharedITLB replays a binary's shared reference I-TLB: one Lookup per
+// run, the rest of the run as bulk hits on the same page.
+type sharedITLB struct{ *tlb.TLB }
+
+func (t sharedITLB) replayRuns(ev []uint32, runs []FetchRun) {
+	for _, r := range runs {
+		t.Lookup(cpu.EventAddr(ev[r.Start]))
+		if r.N > 1 {
+			t.BulkHits(uint64(r.N - 1))
+		}
+	}
 }
 
 // adaptiveModel replays runs under the adaptive OS policy: a private
@@ -470,8 +608,8 @@ func newModel(base Config, spec ModelSpec, prog *obj.Program) (CacheModel, error
 			return nil, err
 		}
 		return &wayMemoBulkModel{
-			modelCore: modelCore{spec: spec, fe: wm},
-			wm:        wm,
+			modelCore:            modelCore{spec: spec, fe: wm},
+			WayMemoizationEngine: wm,
 		}, nil
 
 	case energy.WayPlacement:
@@ -494,8 +632,8 @@ func newModel(base Config, spec ModelSpec, prog *obj.Program) (CacheModel, error
 		wpe.OracleHint = spec.OracleHint
 		wpe.NoSameLine = spec.NoSameLine
 		return &wayPlaceBulkModel{
-			modelCore: modelCore{spec: spec, fe: wpe},
-			wpe:       wpe,
+			modelCore:          modelCore{spec: spec, fe: wpe},
+			WayPlacementEngine: wpe,
 		}, nil
 	}
 	return nil, fmt.Errorf("sim: unknown scheme %v", spec.Scheme)
@@ -651,6 +789,7 @@ func RunMulti(ctx context.Context, prog *obj.Program, base Config, models []Mode
 		return nil, err
 	}
 	var relinked FetchChunk
+	var repeats repeatDetector
 	for live > 0 {
 		ch, err := src.NextChunk(ctx)
 		if err != nil {
@@ -667,13 +806,9 @@ func RunMulti(ctx context.Context, prog *obj.Program, base Config, models []Mode
 			if st.addrOf != nil {
 				sch = st.remap(ch, prog.Base, &relinked)
 			}
+			sch.Repeats = repeats.find(sch)
 			if st.shared != nil {
-				for _, r := range sch.Runs {
-					st.shared.Lookup(cpu.EventAddr(sch.Events[r.Start]))
-					if r.N > 1 {
-						st.shared.BulkHits(uint64(r.N - 1))
-					}
-				}
+				replayRepeats(sharedITLB{st.shared}, sch)
 			}
 			n := 0
 			for _, m := range st.models {

@@ -53,6 +53,15 @@ func (s *Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
+// addRepeats adds k more copies of the counts accumulated since mark:
+// every field grows by k × (s − mark).
+func (s *Stats) addRepeats(mark *Stats, k uint64) {
+	s.Accesses += k * (s.Accesses - mark.Accesses)
+	s.Hits += k * (s.Hits - mark.Hits)
+	s.Misses += k * (s.Misses - mark.Misses)
+	s.Invalidates += k * (s.Invalidates - mark.Invalidates)
+}
+
 type entry struct {
 	valid   bool
 	vpn     uint32
@@ -71,14 +80,25 @@ type TLB struct {
 	entries []entry
 	tick    uint64
 
-	lastValid bool
-	lastVPN   uint32
-	lastIdx   int
+	fastPath
+	mark struct {
+		stats Stats
+		tick  uint64
+		fp    fastPath
+	}
 
 	// Way-placement area: [wpStart, wpStart+wpSize). Pages whose first
 	// byte lies inside get the way-placement bit. Zero size disables.
 	wpStart uint32
 	wpSize  uint32
+}
+
+// fastPath is the single-entry cache in front of the entry scan: the
+// page and entry index of the most recent lookup.
+type fastPath struct {
+	lastValid bool
+	lastVPN   uint32
+	lastIdx   int
 }
 
 // New builds an empty TLB.
@@ -133,7 +153,7 @@ func (t *TLB) Invalidate() {
 	for i := range t.entries {
 		t.entries[i] = entry{}
 	}
-	t.lastValid, t.lastVPN, t.lastIdx = false, 0, 0
+	t.fastPath = fastPath{}
 	t.Stats.Invalidates++
 }
 
@@ -205,6 +225,34 @@ func (t *TLB) BulkHits(n uint64) {
 	t.Stats.Hits += n
 	t.tick += n
 	t.entries[t.lastIdx].lastUse = t.tick
+}
+
+// Mark records the TLB's state before one copy of a repeated lookup
+// sequence is replayed; SkipRepeats then decides whether further copies
+// can be charged without replaying them.
+func (t *TLB) Mark() {
+	t.mark.stats = t.Stats
+	t.mark.tick = t.tick
+	t.mark.fp = t.fastPath
+}
+
+// SkipRepeats charges k more copies of the lookups replayed since Mark,
+// without replaying them, and reports whether it did. It refuses unless
+// the copy missed nothing, invalidated nothing and left the fast-path
+// entry as it found it: then the same entries are resident, each
+// further copy takes the same paths and only recency moves. The clock
+// advances by k copies' worth of ticks; the caller replays the final
+// copy normally so that every entry's lastUse ends where a full replay
+// leaves it.
+func (t *TLB) SkipRepeats(k uint64) bool {
+	m := &t.mark
+	if t.Stats.Misses != m.stats.Misses || t.Stats.Invalidates != m.stats.Invalidates ||
+		t.fastPath != m.fp {
+		return false
+	}
+	t.Stats.addRepeats(&m.stats, k)
+	t.tick += k * (t.tick - m.tick)
+	return true
 }
 
 // WayPlaced implements cache.WPOracle: the way-placement bit the

@@ -1,6 +1,7 @@
 package tlb
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -216,5 +217,48 @@ func TestRelookupAlwaysHits(t *testing.T) {
 func TestPageShift(t *testing.T) {
 	if got := cfg32().PageShift(); got != 10 {
 		t.Errorf("PageShift = %d, want 10", got)
+	}
+}
+
+func TestAddRepeatsCoversEveryField(t *testing.T) {
+	typ := reflect.TypeOf(Stats{})
+	for i := range typ.NumField() {
+		var s, mark, want Stats
+		reflect.ValueOf(&mark).Elem().Field(i).SetUint(2)
+		reflect.ValueOf(&s).Elem().Field(i).SetUint(5)
+		reflect.ValueOf(&want).Elem().Field(i).SetUint(5 + 3*(5-2))
+		s.addRepeats(&mark, 3)
+		if s != want {
+			t.Errorf("Stats.%s: addRepeats gave %+v, want %+v", typ.Field(i).Name, s, want)
+		}
+	}
+}
+
+// A skipped copy charges what replaying it would; a copy that misses
+// refuses.
+func TestSkipRepeats(t *testing.T) {
+	pages := []uint32{0x0000, 0x0400, 0x0404, 0x0800, 0x0000}
+	replay := func(tl *TLB) {
+		for _, a := range pages {
+			tl.Lookup(a)
+		}
+	}
+	fast, full := MustNew(cfg32()), MustNew(cfg32())
+	fast.Mark()
+	replay(fast)
+	if fast.SkipRepeats(1) {
+		t.Fatal("skipped a copy that missed")
+	}
+	fast.Mark()
+	replay(fast)
+	if !fast.SkipRepeats(4) {
+		t.Fatal("refused to skip a warm copy")
+	}
+	replay(fast)
+	for range 7 {
+		replay(full)
+	}
+	if fast.Stats != full.Stats || fast.tick != full.tick || !reflect.DeepEqual(fast.entries, full.entries) {
+		t.Errorf("skipped %+v, want %+v", fast.Stats, full.Stats)
 	}
 }
